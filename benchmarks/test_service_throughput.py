@@ -30,10 +30,9 @@ from repro.core.base import pow2_dimension
 from repro.core.f2 import F2Verifier, run_f2
 from repro.distributed.sharded import DistributedF2Prover
 from repro.field.modular import DEFAULT_FIELD as F
-from repro.field.vectorized import HAVE_NUMPY, get_backend
+from repro.field.vectorized import HAVE_NUMPY
 from repro.service import (
     PooledDistributedF2Prover,
-    ProcessPooledDistributedF2Prover,
     ProverServer,
     run_load,
 )
@@ -157,7 +156,6 @@ def test_worker_pool_wallclock_speedup(service_bench_recorder):
     service_bench_recorder.append({
         "measure": "worker_pool_f2",
         "u": u,
-        "pool_mode": "thread",
         "workers": workers,
         "cores": cores,
         "seconds_sequential": t_seq,
@@ -169,71 +167,6 @@ def test_worker_pool_wallclock_speedup(service_bench_recorder):
     if not service_smoke() and cores >= 4:
         assert speedup > 1.5, (
             "worker pool only %.2fx faster on %d cores" % (speedup, cores)
-        )
-
-
-def test_process_pool_wallclock_speedup(service_bench_recorder):
-    """Shared-memory process-pool prover vs the inline coordinator, on
-    the *scalar* backend — the case threads cannot win (every fold is
-    Python-level, so a thread pool serialises on the GIL while the
-    process pool scales with cores).
-
-    Transcripts must be byte-identical at any size; the > 2x wall-clock
-    bar applies only at full size on >= 4 cores (the 4-vCPU CI leg).
-    """
-    u = 1 << 11 if service_smoke() else 1 << 22
-    workers = 8
-    backend = get_backend(F, "scalar")
-    stream = uniform_frequency_stream(u, max_frequency=1000,
-                                      rng=random.Random(17))
-    updates = list(stream.updates())
-    point = F.rand_vector(random.Random(19), pow2_dimension(u))
-
-    def drive(prover):
-        verifier = F2Verifier(F, u, point=point)
-        verifier.lde.process_stream_batched(updates)
-        channel = Channel()
-        start = time.perf_counter()
-        result = run_f2(prover, verifier, channel)
-        elapsed = time.perf_counter() - start
-        assert result.accepted
-        return elapsed, channel.transcript
-
-    inline = DistributedF2Prover(F, u, num_workers=workers, backend=backend)
-    inline.process_stream(updates)
-    t_inline, tx_inline = drive(inline)
-
-    with ProcessPooledDistributedF2Prover(
-        F, u, num_workers=workers, backend=backend
-    ) as pooled:
-        # Pay the spawn + import cost outside the timed window: a real
-        # service reuses its pool across queries.
-        pooled.warm_up()
-        pooled.process_stream(updates)
-        t_proc, tx_proc = drive(pooled)
-        assert pooled.effective_mode == "process", pooled.effective_mode
-        max_procs = pooled.max_procs
-
-    assert tx_inline.messages == tx_proc.messages  # byte-identical proof
-    speedup = t_inline / t_proc if t_proc else float("inf")
-    cores = os.cpu_count() or 1
-    service_bench_recorder.append({
-        "measure": "process_pool_f2",
-        "u": u,
-        "pool_mode": "process",
-        "backend": "scalar",
-        "workers": workers,
-        "max_procs": max_procs,
-        "cores": cores,
-        "seconds_inline": t_inline,
-        "seconds_process": t_proc,
-        "speedup": speedup,
-    })
-    print("\nprocess pool: %.3fs inline vs %.3fs process (%.2fx, %d cores)"
-          % (t_inline, t_proc, speedup, cores))
-    if not service_smoke() and cores >= 4:
-        assert speedup > 2.0, (
-            "process pool only %.2fx faster on %d cores" % (speedup, cores)
         )
 
 

@@ -9,8 +9,8 @@ it is unsafe.  The paper offers two remedies, both implemented here:
   each query retains the single-query guarantee.  The
   :class:`BatchedSumcheckEngine` runs *heterogeneous* batches — F2, Fk,
   INNER-PRODUCT and RANGE-SUM queries over one dataset — as one fused
-  (queries × table) pass per round; :func:`run_batch_range_sum` is the
-  RANGE-SUM-only wrapper kept for the original interface.
+  (queries × table) pass per round; :func:`run_batch_range_sum` is a
+  RANGE-SUM-only wrapper around it.
 * :class:`IndependentCopies` — maintain c independent protocol instances
   over the stream (c·log u words); each verified query consumes one copy.
 """
@@ -526,40 +526,6 @@ class BatchedSumcheckEngine:
         self._round_index += 1
 
 
-class BatchRangeSumProver(BatchedSumcheckEngine):
-    """RANGE-SUM-only batch engine (the original Section 7 interface).
-
-    Kept as the wire-compatible engine behind
-    :func:`run_batch_range_sum` and the service's ``M_RECEIVE_QUERIES``
-    opcode: :meth:`receive_queries` takes plain ``(lo, hi)`` pairs and
-    every round message is three words.
-    """
-
-    def true_answer(self, lo: int, hi: int) -> int:
-        return sum(self.freq_a[lo : hi + 1])
-
-    @classmethod
-    def from_range_sum_prover(
-        cls, prover: RangeSumProver, backend=None
-    ) -> "BatchRangeSumProver":
-        """Snapshot an existing single-query prover's frequency vector.
-
-        The vector is copied: later updates streamed into the wrapped
-        prover must not silently mutate a proof already in flight here
-        (and vice versa — the engine's own ``process`` stays local).
-        """
-        out = cls(prover.field, prover.u, backend=backend)
-        out.freq_a[: len(prover.freq_a)] = list(prover.freq_a)
-        return out
-
-    def receive_queries(self, queries: Sequence[Tuple[int, int]]) -> None:
-        """Materialise the indicator table of every query at once."""
-        for lo, hi in queries:
-            if not 0 <= lo <= hi < self.size:
-                raise ValueError("query range [%d, %d] invalid" % (lo, hi))
-        self.receive_batch([batch_range_sum(lo, hi) for lo, hi in queries])
-
-
 class BatchedSumcheckVerifier(InnerProductVerifier):
     """Streaming verifier for heterogeneous batches: O(log u) words.
 
@@ -605,8 +571,7 @@ def run_batched_sumcheck(
 
     ``prover`` is a :class:`BatchedSumcheckEngine` (or the service
     layer's remote proxy with the same ``receive_batch`` /
-    ``round_messages`` / ``receive_challenge`` interface; a legacy
-    RANGE-SUM-only proxy exposing ``receive_queries`` is also accepted).
+    ``round_messages`` / ``receive_challenge`` interface).
     ``verifier`` is a :class:`BatchedSumcheckVerifier` for mixed
     batches; any single-LDE streaming verifier of the sum-check family
     (RANGE-SUM / F2 / Fk) works for batches without INNER-PRODUCT
@@ -637,16 +602,7 @@ def run_batched_sumcheck(
             "INNER-PRODUCT batch members need a verifier with a "
             "second-stream LDE (BatchedSumcheckVerifier)"
         )
-    if hasattr(prover, "receive_batch"):
-        prover.receive_batch(queries)
-    else:
-        # Legacy RANGE-SUM-only engines (the service's original batched
-        # proxy) speak (lo, hi) pairs.
-        if any(q.kind != BATCH_KIND_RANGE_SUM for q in queries):
-            raise TypeError(
-                "prover %r only supports RANGE-SUM batches" % (prover,)
-            )
-        prover.receive_queries([q.params for q in queries])
+    prover.receive_batch(queries)
     eval_backend = (
         backend if backend is not None else getattr(prover, "backend", None)
     )
@@ -755,7 +711,7 @@ def run_batched_sumcheck(
 
 
 def run_batch_range_sum(
-    prover,
+    prover: RangeSumProver,
     verifier: RangeSumVerifier,
     queries: Sequence[Tuple[int, int]],
     channel: Optional[Channel] = None,
@@ -763,33 +719,21 @@ def run_batch_range_sum(
 ) -> List[VerificationResult]:
     """Verify many RANGE-SUM queries in lockstep with shared randomness.
 
-    The RANGE-SUM-only face of :func:`run_batched_sumcheck`, kept for
-    the original Section 7 interface: per round the prover sends one
-    degree-2 polynomial per query, communication is 3·|queries| words
-    per round plus the shared challenges, attributed per query on the
-    channel (:meth:`repro.comm.channel.Channel.query_cost`).
-
-    ``prover`` is a :class:`~repro.core.range_sum.RangeSumProver` (its
-    frequency vector is wrapped in a local
-    :class:`BatchRangeSumProver`) or any object with the batch-prover
-    interface itself — such as the service layer's remote proxy.
+    The RANGE-SUM-only face of :func:`run_batched_sumcheck`: per round
+    the prover sends one degree-2 polynomial per query, so communication
+    is 3·|queries| words per round plus the shared challenges,
+    attributed per query on the channel
+    (:meth:`repro.comm.channel.Channel.query_cost`).  The engine proves
+    from a copy of ``prover``'s frequency vector, so updates streamed
+    into ``prover`` later never touch a proof in flight.
     """
-    ch = channel or Channel()
-    for lo, hi in queries:
-        if not 0 <= lo <= hi < verifier.size:
-            raise ValueError("query range [%d, %d] invalid" % (lo, hi))
-    if not queries:
-        return []
-    if hasattr(prover, "round_messages"):
-        engine = prover
-    else:
-        engine = BatchRangeSumProver.from_range_sum_prover(
-            prover, backend=backend
-        )
+    engine = BatchedSumcheckEngine.from_vectors(
+        prover.field, prover.u, prover.freq_a, backend=backend
+    )
     return run_batched_sumcheck(
         engine, verifier,
         [batch_range_sum(lo, hi) for lo, hi in queries],
-        channel=ch, backend=backend,
+        channel=channel, backend=backend,
     )
 
 

@@ -189,17 +189,3 @@ class DistributedF2Prover:
     def max_worker_keys(self) -> int:
         """Peak per-worker storage — the Map-Reduce balance statistic."""
         return max(len(w.freq) for w in self.workers)
-
-    # -- pooled-prover interface ---------------------------------------------
-    # The service selects between this inline coordinator and the
-    # thread/process-pooled subclasses at runtime (REPRO_POOL_MODE), so
-    # all three share the lifecycle surface; inline has nothing to free.
-
-    def shutdown(self) -> None:
-        pass
-
-    def __enter__(self) -> "DistributedF2Prover":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()

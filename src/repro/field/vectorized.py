@@ -178,10 +178,6 @@ class ScalarBackend:
         p = self.p
         return [(x - y) % p for x, y in self._pairs(a, b)]
 
-    def neg(self, arr: Sequence[int]) -> List[int]:
-        p = self.p
-        return [(-v) % p for v in arr]
-
     def mul(self, a, b) -> List[int]:
         p = self.p
         return [x * y % p for x, y in self._pairs(a, b)]
@@ -351,9 +347,6 @@ class ScalarBackend:
     def sum(self, arr: Sequence[int]) -> int:
         return sum(arr) % self.p
 
-    def prod(self, arr: Sequence[int]) -> int:
-        return self.field.prod(arr)
-
     def dot(self, xs: Sequence[int], ys: Sequence[int]) -> int:
         return self.field.dot(xs, ys)
 
@@ -493,15 +486,6 @@ class VectorizedField:
         p = _np.uint64(self.p)
         s = a + (p - b)  # in (0, 2p)
         return _np.where(s >= p, s - p, s)
-
-    def neg(self, arr):
-        if not isinstance(arr, _np.ndarray):
-            return self._norm((-int(arr)) % self.p)
-        arr = self._norm(arr)
-        if self.dtype is object:
-            return (-arr) % self.p
-        p = _np.uint64(self.p)
-        return _np.where(arr == 0, arr, p - arr)
 
     def mul(self, a, b):
         if self._both_scalars(a, b):
@@ -840,19 +824,6 @@ class VectorizedField:
             yc = xc if symmetric else _limbs22(ys[start : start + _DOT_CHUNK])
             total += _limb_dot(xc, yc, symmetric)
         return total % self.p
-
-    def prod(self, arr) -> int:
-        a = arr if isinstance(arr, _np.ndarray) else self.asarray(arr)
-        acc = 1
-        p = self.p
-        while a.size > 1:
-            if a.size & 1:
-                acc = acc * int(a[-1]) % p
-                a = a[:-1]
-            a = self.mul(a[0::2], a[1::2])
-        if a.size:
-            acc = acc * int(a[0]) % p
-        return acc
 
     def batch_inv(self, arr):
         """Elementwise inverses via one vectorized ``a^(p-2)`` ladder.

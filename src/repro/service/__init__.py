@@ -17,11 +17,10 @@ powerful server and verifying its answers):
   asyncio prover server and the thin blocking verifier client whose
   prover proxies exchange real frames per protocol round;
 * :mod:`repro.service.pool` — the sharded prover's map step on a
-  thread pool (NumPy releases the GIL) or a *process* pool over the
-  :mod:`repro.service.shm` shared-memory shard tables (zero-copy, so
-  the scalar backend scales with cores too), selected per deployment
-  via ``REPRO_POOL_MODE=auto|thread|process|inline``; wall-clock
-  Map-Reduce scaling with byte-identical transcripts in every mode;
+  thread pool (NumPy releases the GIL), rebuilt when it dies and
+  degraded to inline execution when it keeps dying; wall-clock
+  Map-Reduce scaling with transcripts byte-identical to the inline
+  coordinator on every path;
 * :mod:`repro.service.loadgen` — many concurrent sessions, measured,
   with per-phase (dial/update/query/verify) latency breakdowns;
 * :mod:`repro.service.ring` / :mod:`repro.service.cluster` /
@@ -62,14 +61,7 @@ from repro.service.loadgen import (
     run_cluster_load,
     run_load,
 )
-from repro.service.pool import (
-    POOL_MODE_ENV_VAR,
-    PoolConfigError,
-    PooledDistributedF2Prover,
-    ProcessPooledDistributedF2Prover,
-    make_pooled_prover,
-    resolve_pool_mode,
-)
+from repro.service.pool import PoolConfigError, PooledDistributedF2Prover
 from repro.service.protocol import ServiceProtocolError
 from repro.service.registry import AdmissionError, SessionRegistry
 from repro.service.ring import HashRing
@@ -109,9 +101,7 @@ __all__ = [
     "NO_RETRY",
     "NodeSupervisor",
     "PHASES",
-    "POOL_MODE_ENV_VAR",
     "ProcessNodeManager",
-    "ProcessPooledDistributedF2Prover",
     "PoolConfigError",
     "PooledDistributedF2Prover",
     "ProverServer",
@@ -136,12 +126,10 @@ __all__ = [
     "heavy_hitters",
     "inner_product",
     "k_largest",
-    "make_pooled_prover",
     "point_lookup",
     "predecessor",
     "range_scan",
     "range_sum",
-    "resolve_pool_mode",
     "run_cluster_load",
     "run_load",
     "successor",

@@ -221,30 +221,6 @@ class RemoteHeavyHittersProver(_RemoteProverBase):
         self._call(sp.M_RECEIVE_RANDOMNESS, [r_l, s_l])
 
 
-class RemoteBatchRangeSumProver(_RemoteProverBase):
-    """Batched RANGE-SUM engine behind the wire (direct-sum rounds)."""
-
-    def __init__(self, client: "ServiceClient", ref: int):
-        super().__init__(client, ref)
-        self._num_queries = 0
-
-    def receive_queries(self, queries: Sequence[Tuple[int, int]]) -> None:
-        flat: List[int] = []
-        for lo, hi in queries:
-            flat.extend((lo, hi))
-        self._num_queries = len(queries)
-        self._call(sp.M_RECEIVE_QUERIES, flat)
-
-    def round_messages(self) -> List[List[int]]:
-        words = self._call(sp.M_ROUND_MESSAGES)
-        if len(words) != 3 * self._num_queries:
-            raise ServiceClientError("malformed batched round message")
-        return [words[t : t + 3] for t in range(0, len(words), 3)]
-
-    def receive_challenge(self, r: int) -> None:
-        self._call(sp.M_RECEIVE_CHALLENGE, [r])
-
-
 class RemoteBatchedSumcheckProver(_RemoteProverBase):
     """Heterogeneous batched engine behind the wire (mixed direct-sum).
 
@@ -853,8 +829,6 @@ class ServiceClient:
         )
 
         if unit.batched:
-            if {q.kind for q in unit.descriptors} == {KIND_RANGE_SUM}:
-                return RemoteBatchRangeSumProver(self, ref)
             return RemoteBatchedSumcheckProver(self, ref)
         kind = unit.descriptors[0].kind
         if kind in TREE_KINDS:

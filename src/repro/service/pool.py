@@ -15,8 +15,7 @@ worker order — so the transcript is byte-identical to the sequential
 coordinator's (asserted in the tests), only the wall-clock differs.
 
 The map step is also the prover's failure domain: a pool can die
-mid-round (in the thread-pool case via interpreter shutdown or an
-injected broken executor; with process pools, via a killed worker).
+mid-round (via interpreter shutdown or an injected broken executor).
 Because every per-worker task is a deterministic function of that
 worker's shard state, a lost task is simply re-executed: the coordinator
 tracks which workers completed, rebuilds the pool, and re-runs only the
@@ -28,12 +27,10 @@ task, so re-running an unfinished worker's task never double-applies.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from concurrent.futures import (
     BrokenExecutor,
     CancelledError,
-    ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
 from typing import Callable, List, Optional, Sequence
@@ -41,26 +38,9 @@ from typing import Callable, List, Optional, Sequence
 from repro import obs
 from repro.distributed.sharded import DistributedF2Prover
 from repro.field.modular import PrimeField
-from repro.field.vectorized import HAVE_NUMPY, canonical_table, get_backend
-
-if HAVE_NUMPY:
-    import numpy as _np
-from repro.service.shm import (
-    SharedMemoryError,
-    SharedShardStore,
-    shm_begin_shard,
-    shm_fold_shard,
-    shm_round_sums_shard,
-    shm_touch,
-)
+from repro.field.vectorized import canonical_table
 
 _log = obs.get_logger("service.pool")
-
-#: Environment knob selecting the pooled prover's execution mode.
-POOL_MODE_ENV_VAR = "REPRO_POOL_MODE"
-
-#: Legal values of :data:`POOL_MODE_ENV_VAR` / ``mode=`` arguments.
-POOL_MODES = ("auto", "thread", "process", "inline")
 
 
 class PoolConfigError(ValueError):
@@ -161,13 +141,12 @@ class PooledDistributedF2Prover(DistributedF2Prover):
         """``map(fn, items)`` surviving executor death.
 
         Submits one future per item; on :class:`BrokenExecutor` (a dead
-        pool — ``BrokenProcessPool``/``BrokenThreadPool`` are its
-        subclasses) or on submission refusal, discards the pool, counts
-        the failure, and re-runs only the items whose futures never
-        completed — on a fresh pool, or inline once
-        :attr:`MAX_POOL_RESTARTS` rebuilds have been spent.  Results
-        come back in item order regardless of which attempt produced
-        them, preserving the deterministic reduce order.
+        pool — ``BrokenThreadPool`` is its subclass) or on submission
+        refusal, discards the pool, counts the failure, and re-runs only
+        the items whose futures never completed — on a fresh pool, or
+        inline once :attr:`MAX_POOL_RESTARTS` rebuilds have been spent.
+        Results come back in item order regardless of which attempt
+        produced them, preserving the deterministic reduce order.
         """
         items = list(items)
         results: List = [None] * len(items)
@@ -284,319 +263,3 @@ class PooledDistributedF2Prover(DistributedF2Prover):
                 worker.process(i, delta)
 
         self._run_tasks(ingest, list(zip(self.workers, buckets)))
-
-
-class ProcessPooledDistributedF2Prover(PooledDistributedF2Prover):
-    """The sharded F2 prover with its map step on a *process* pool.
-
-    Shard state lives in one :class:`~repro.service.shm.SharedShardStore`
-    segment: the coordinator streams updates into the shared freq
-    regions, and every map task — canonicalise, per-round partial, fold
-    — is a module-level function of (segment name, shard, level,
-    challenge) that worker processes run against their own zero-copy
-    mapping.  Only 3-word partials cross process boundaries, so the map
-    step scales with physical cores even when the backend is the
-    pure-Python scalar reference the GIL pins to one thread.
-
-    Fault ladder: a broken process pool (e.g. a SIGKILLed worker) is
-    rebuilt up to :attr:`MAX_POOL_RESTARTS` times by the inherited
-    submit+harvest machinery, then the same tasks move to a thread pool,
-    then inline — each step re-running only never-completed tasks
-    against fold levels a killed writer cannot have damaged, so the
-    transcript stays byte-identical to the sequential coordinator's on
-    every path.
-
-    ``start_method`` defaults to ``spawn``: the prover is routinely
-    created inside a threaded asyncio server, where forking is unsafe,
-    and spawn is the only start method portable to macOS/Windows.
-    """
-
-    def __init__(self, field: PrimeField, u: int, num_workers: int = 4,
-                 backend=None, max_procs: Optional[int] = None,
-                 max_threads: Optional[int] = None,
-                 executor_factory: Optional[Callable[[], object]] = None,
-                 start_method: str = "spawn"):
-        super().__init__(field, u, num_workers=num_workers, backend=backend,
-                         max_threads=max_threads,
-                         executor_factory=executor_factory)
-        if max_procs is not None:
-            if max_procs < 1:
-                raise PoolConfigError(
-                    "max_procs must be >= 1, got %d" % max_procs
-                )
-            if max_procs > num_workers:
-                raise PoolConfigError(
-                    "max_procs=%d exceeds num_workers=%d: each process "
-                    "maps over whole shards, extra processes would idle — "
-                    "raise num_workers or lower max_procs"
-                    % (max_procs, num_workers)
-                )
-        self.max_procs = max_procs or min(num_workers, os.cpu_count() or 1)
-        self.start_method = start_method
-        shard_size = self.size // num_workers
-        self.store = SharedShardStore(num_workers, shard_size)
-        # The shm store *is* the shard state; drop the in-process worker
-        # objects the base class built (their lists would shadow it).
-        self.workers = ()
-        self._backend_name = (
-            "vectorized" if getattr(self.backend, "vectorized", False)
-            else "scalar"
-        )
-        self._task_prefix = (
-            self.store.name, num_workers, shard_size, field.p,
-            self._backend_name,
-        )
-        #: Failure-ladder position: "process" -> "thread" -> inline
-        #: (``_degraded``); :attr:`effective_mode` reports it.
-        self._pool_kind = "process"
-        self._process_restarts = 0
-        self._thread_restarts = 0
-        #: Coordinator-side cache of the partials each fold task returns
-        #: for the *next* round (the shard stays cache-resident in the
-        #: worker that folded it).
-        self._partials: Optional[List] = None
-
-    # -- pool lifecycle ------------------------------------------------------
-
-    @property
-    def effective_mode(self) -> str:
-        """Where the map step currently runs: process, thread or inline."""
-        return "inline" if self._degraded else self._pool_kind
-
-    def _make_executor(self):
-        if self._executor_factory is not None:
-            return self._executor_factory()
-        if self._pool_kind == "process":
-            return ProcessPoolExecutor(
-                max_workers=self.max_procs,
-                mp_context=multiprocessing.get_context(self.start_method),
-            )
-        return ThreadPoolExecutor(
-            max_workers=self.max_threads,
-            thread_name_prefix="repro-shard",
-        )
-
-    def _note_pool_failure(self) -> None:
-        self.pool_failures += 1
-        obs.counter("repro_pool_failures_total").inc()
-        self._discard_executor()
-        if self._pool_kind == "process":
-            if self._process_restarts >= self.MAX_POOL_RESTARTS:
-                # Process pools keep dying: the same shm tasks run on a
-                # thread pool in this process (slower under the GIL,
-                # never wrong).
-                self._pool_kind = "thread"
-                obs.counter("repro_pool_degradations_total",
-                            to="thread").inc()
-                _log.warning("pool.degraded", to="thread",
-                             failures=self.pool_failures)
-            else:
-                self._process_restarts += 1
-                self.pool_restarts += 1
-                obs.counter("repro_pool_restarts_total").inc()
-                _log.info("pool.rebuilt", kind="process",
-                          restarts=self.pool_restarts)
-        else:
-            if self._thread_restarts >= self.MAX_POOL_RESTARTS:
-                self._degraded = True
-                obs.counter("repro_pool_degradations_total",
-                            to="inline").inc()
-                _log.warning("pool.degraded", to="inline",
-                             failures=self.pool_failures)
-            else:
-                self._thread_restarts += 1
-                self.pool_restarts += 1
-                obs.counter("repro_pool_restarts_total").inc()
-                _log.info("pool.rebuilt", kind="thread",
-                          restarts=self.pool_restarts)
-
-    def warm_up(self, delay: float = 0.05) -> List[int]:
-        """Spawn and import every pool worker before timed work.
-
-        Submits one slot-holding task per process so the pool's spawn +
-        interpreter-start + import cost is paid now, not inside the
-        first proof round.  Returns the worker pids that answered (the
-        benchmark's evidence the map step really left this process).
-        """
-        if self._degraded:
-            return [os.getpid()]
-        name, num_workers, shard_size = self._task_prefix[:3]
-        pids = self._run_tasks(
-            shm_touch,
-            [(name, num_workers, shard_size, delay)
-             for _ in range(self.max_procs)],
-        )
-        return sorted(set(int(pid) for pid in pids))
-
-    def shutdown(self) -> None:
-        super().shutdown()
-        self.store.close()
-
-    # -- ingest --------------------------------------------------------------
-
-    def process(self, i: int, delta: int) -> None:
-        if not 0 <= i < self.u:
-            raise ValueError("key %d outside universe [0, %d)" % (i, self.u))
-        shard = i >> self._shard_bits
-        self.store.freq_array(shard)[i & (self.store.shard_size - 1)] += delta
-
-    def process_stream(self, updates) -> None:
-        """Validate, bucket per shard, then add in bulk.
-
-        Ingest happens in the coordinator (plain += into the shared freq
-        regions): at O(1) per update it is never the bottleneck the map
-        step is, and keeping writers out of the workers means every
-        worker-side access to the segment is read-only.
-        """
-        shard_bits = self._shard_bits
-        mask = self.store.shard_size - 1
-        u = self.u
-        buckets: List[List] = [[] for _ in range(self.num_workers)]
-        for i, delta in updates:
-            if not 0 <= i < u:
-                raise ValueError("key %d outside universe [0, %d)" % (i, u))
-            buckets[i >> shard_bits].append((i & mask, delta))
-        for shard, bucket in enumerate(buckets):
-            if not bucket:
-                continue
-            freq = self.store.freq_array(shard)
-            if HAVE_NUMPY:
-                idx = _np.fromiter((i for i, _ in bucket), dtype=_np.int64,
-                                   count=len(bucket))
-                deltas = _np.fromiter((d for _, d in bucket),
-                                      dtype=_np.int64, count=len(bucket))
-                _np.add.at(freq, idx, deltas)
-            else:
-                for idx, delta in bucket:
-                    freq[idx] += delta
-
-    def true_answer(self) -> int:
-        return sum(
-            f * f
-            for shard in range(self.num_workers)
-            for f in self.store.read_freq(shard)
-        )
-
-    @property
-    def max_worker_keys(self) -> int:
-        return self.store.shard_size
-
-    # -- the F2Prover protocol interface -------------------------------------
-
-    def _shard_args(self, *suffix) -> List[tuple]:
-        return [
-            self._task_prefix + (shard,) + suffix
-            for shard in range(self.num_workers)
-        ]
-
-    def begin_proof(self) -> None:
-        self._run_tasks(shm_begin_shard, self._shard_args())
-        self._coordinator_table = None
-        self._rounds_done = 0
-        self._partials = None
-
-    def round_message(self) -> List[int]:
-        if self._coordinator_table is not None:
-            return DistributedF2Prover.round_message(self)
-        partials = self._partials
-        if partials is None:
-            partials = self._run_tasks(
-                shm_round_sums_shard, self._shard_args(self._rounds_done)
-            )
-        # Reduce in shard order, exactly as the sequential coordinator
-        # does — byte-identical messages.
-        be = self.backend
-        if getattr(be, "vectorized", False):
-            return be.row_sums(
-                be.stack([[g[c] for g in partials] for c in range(3)])
-            )
-        p = self.field.p
-        return [sum(g[c] for g in partials) % p for c in range(3)]
-
-    def receive_challenge(self, r: int) -> None:
-        if self._coordinator_table is not None:
-            DistributedF2Prover.receive_challenge(self, r)
-            return
-        results = self._run_tasks(
-            shm_fold_shard, self._shard_args(self._rounds_done, r)
-        )
-        self._partials = results if results[0] is not None else None
-        self._rounds_done += 1
-        if self._rounds_done == self._shard_bits:
-            p = self.field.p
-            self._coordinator_table = canonical_table(
-                self.backend,
-                self.field,
-                [self.store.residual(shard) % p
-                 for shard in range(self.num_workers)],
-            )
-
-
-# -- execution-mode selection --------------------------------------------------
-
-
-def resolve_pool_mode(mode: Optional[str] = None, backend=None) -> str:
-    """The concrete execution mode for the sharded prover's map step.
-
-    ``mode`` is ``auto``/``thread``/``process``/``inline``; when omitted
-    it is read from :data:`POOL_MODE_ENV_VAR` (default ``auto``).
-    ``auto`` picks the mode that can actually win on this host: the
-    thread pool when the vectorized backend's GIL-releasing kernels are
-    on the hot path, the process pool when a Python-level (scalar) fold
-    would serialise threads on the GIL — and threads on single-core
-    hosts, where process spawn overhead buys nothing.
-    """
-    if mode is None:
-        mode = os.environ.get(POOL_MODE_ENV_VAR, "auto").strip().lower() \
-            or "auto"
-    if mode not in POOL_MODES:
-        raise PoolConfigError(
-            "%s must be one of %s, got %r"
-            % (POOL_MODE_ENV_VAR, "|".join(POOL_MODES), mode)
-        )
-    if mode != "auto":
-        return mode
-    if backend is None:
-        from repro.field.modular import DEFAULT_FIELD
-
-        backend = get_backend(DEFAULT_FIELD)
-    if getattr(backend, "vectorized", False):
-        return "thread"
-    return "process" if (os.cpu_count() or 1) >= 2 else "thread"
-
-
-def make_pooled_prover(field: PrimeField, u: int, num_workers: int = 4,
-                       mode: Optional[str] = None, backend=None, **kwargs):
-    """A sharded F2 prover in the selected execution mode.
-
-    The service router and benchmarks both come through here, so one
-    ``REPRO_POOL_MODE`` setting (or explicit ``mode=``) switches a whole
-    deployment between thread, process and inline execution.  In
-    ``auto`` mode a host whose ``/dev/shm`` cannot hold the shard tables
-    falls back to the thread pool; an *explicit* ``process`` request
-    propagates the error instead.
-    """
-    resolved = resolve_pool_mode(
-        mode, backend if backend is not None else get_backend(field)
-    )
-    if resolved == "inline":
-        return DistributedF2Prover(field, u, num_workers=num_workers,
-                                   backend=backend)
-    if resolved == "process":
-        try:
-            return ProcessPooledDistributedF2Prover(
-                field, u, num_workers=num_workers, backend=backend, **kwargs
-            )
-        except SharedMemoryError:
-            if mode == "process" or (
-                mode is None
-                and os.environ.get(POOL_MODE_ENV_VAR, "").strip().lower()
-                == "process"
-            ):
-                raise
-    thread_kwargs = {
-        k: v for k, v in kwargs.items()
-        if k in ("max_threads", "executor_factory")
-    }
-    return PooledDistributedF2Prover(field, u, num_workers=num_workers,
-                                     backend=backend, **thread_kwargs)

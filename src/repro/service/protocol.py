@@ -132,7 +132,7 @@ M_LEVEL0_SIBLINGS = 0x06    # () -> flattened (index, hash) pairs
 M_FOLD_CHALLENGE = 0x07     # (r) -> next level's flattened siblings
 M_CLAIM = 0x08              # (arg) -> (flag, key) claim
 M_RECEIVE_RANDOMNESS = 0x09  # (r, s) -> []  (heavy hitters)
-M_RECEIVE_QUERIES = 0x0A    # (lo1, hi1, ...) -> []  (batched range-sum)
+# 0x0A is retired (the former RANGE-SUM-only batch opcode); not reused.
 M_ROUND_MESSAGES = 0x0B     # () -> per-query round polynomials, flattened
 M_RECEIVE_BATCH = 0x0C      # BatchQuery words -> []  (heterogeneous batch)
 

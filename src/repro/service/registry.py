@@ -119,11 +119,10 @@ class ActiveQuery:
         return self.unit.descriptors[0].kind
 
     def release(self) -> None:
-        """Free prover-held resources (worker pools, shm segments).
+        """Free prover-held resources (worker pools).
 
-        Pooled provers own executors and — in process mode — a named
-        shared-memory segment; a long-lived server must release those
-        the moment the query closes, not whenever GC notices.  Never
+        Pooled provers own executors; a long-lived server must release
+        them the moment the query closes, not whenever GC notices.  Never
         raises: a release failure must not take the session down.
         """
         shutdown = getattr(self.prover, "shutdown", None)

@@ -5,9 +5,9 @@ lookup, range sum, F2, heavy hitters, ...); the :class:`QueryRouter`
 decides *how*: which ``core/`` protocol runs it, which streaming
 verifier the client must have provisioned before the stream, which
 prover the server materialises from its dataset, and whether several
-descriptors can share one batched execution
-(:func:`~repro.core.multiquery.run_batch_range_sum`'s direct-sum rounds)
-instead of consuming one independent verifier copy each.
+descriptors can share one batched execution (the
+:class:`~repro.core.multiquery.BatchedSumcheckEngine`'s direct-sum
+rounds) instead of consuming one independent verifier copy each.
 
 The router is pure planning/dispatch logic — it runs identically
 in-process (tests drive it without sockets) and behind the service wire
@@ -38,14 +38,12 @@ from repro.core.inner_product import (
 from repro.core.k_largest import KLargestProver, k_largest_query
 from repro.core.multiquery import (
     BatchQuery,
-    BatchRangeSumProver,
     BatchedSumcheckEngine,
     BatchedSumcheckVerifier,
     batch_f2,
     batch_fk,
     batch_inner_product,
     batch_range_sum as core_batch_range_sum,
-    run_batch_range_sum,
     run_batched_sumcheck,
 )
 from repro.core.range_sum import RangeSumProver, RangeSumVerifier, run_range_sum
@@ -354,11 +352,6 @@ class QueryRouter:
         descriptor = unit.descriptors[0]
         kind = descriptor.kind
         if unit.batched:
-            kinds = {q.kind for q in unit.descriptors}
-            if kinds == {KIND_RANGE_SUM}:
-                prover = BatchRangeSumProver(field, u)
-                prover.freq_a = list(freq_a)
-                return prover
             for q in unit.descriptors:
                 _to_batch_query(q)  # raises RoutingError on a bad mix
             return BatchedSumcheckEngine.from_vectors(
@@ -376,13 +369,13 @@ class QueryRouter:
         if kind == KIND_F2:
             workers = descriptor.params[0] if descriptor.params else 0
             if workers:
-                from repro.service.pool import make_pooled_prover
+                from repro.service.pool import PooledDistributedF2Prover
 
-                # Execution mode (thread pool / process pool with
-                # shared-memory shards / inline) comes from
-                # REPRO_POOL_MODE; the registry shuts the prover down
-                # when its query closes.
-                prover = make_pooled_prover(field, u, num_workers=workers)
+                # The map step runs on a thread pool that falls back to
+                # inline execution if it keeps dying; the registry shuts
+                # the prover down when its query closes.
+                prover = PooledDistributedF2Prover(field, u,
+                                                   num_workers=workers)
                 prover.process_stream(
                     (i, f) for i, f in enumerate(freq_a) if f
                 )
@@ -426,10 +419,6 @@ class QueryRouter:
         descriptor = unit.descriptors[0]
         kind = descriptor.kind
         if unit.batched:
-            kinds = {q.kind for q in unit.descriptors}
-            if kinds == {KIND_RANGE_SUM}:
-                queries = [q.params for q in unit.descriptors]
-                return run_batch_range_sum(prover, verifier, queries, ch)
             batch = [_to_batch_query(q) for q in unit.descriptors]
             return run_batched_sumcheck(prover, verifier, batch, ch)
         if kind == KIND_POINT_LOOKUP:

@@ -145,6 +145,8 @@ class ProverServer:
         self.rate_limited = 0
         self._buckets: Dict[int, TokenBucket] = {}
         self._server: Optional[asyncio.AbstractServer] = None
+        #: Established connections: handler task -> its stream writer.
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     @classmethod
     def from_snapshot(cls, path, field: PrimeField,
@@ -167,11 +169,35 @@ class ProverServer:
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
+    #: Seconds :meth:`stop` lets open connections close gracefully
+    #: before aborting them.
+    STOP_DRAIN_SECONDS = 1.0
+
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Stop listening, then close and drain every open connection.
+
+        Each handler sees EOF on its next read and runs its own cleanup
+        (session disconnect, writer close), so peers see the hang-up at
+        once instead of waiting out their own timeouts.  A handler that
+        cannot finish within :attr:`STOP_DRAIN_SECONDS` (blocked writing
+        to a peer that never reads) has its transport aborted; either
+        way every handler task has finished when this returns.
+        """
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        connections = dict(self._connections)
+        for writer in connections.values():
+            writer.close()
+        if connections:
+            _done, stuck = await asyncio.wait(
+                connections, timeout=self.STOP_DRAIN_SECONDS
+            )
+            for task in stuck:
+                connections[task].transport.abort()
+            await asyncio.gather(*stuck, return_exceptions=True)
+        if server is not None:
+            await server.wait_closed()
 
     def snapshot(self, path) -> str:
         """Persist the registry's datasets (see ``SessionRegistry.snapshot``)."""
@@ -267,6 +293,11 @@ class ProverServer:
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         session_id = 0
+        # Tracked until the handler task finishes, on any path, so stop()
+        # can hang up on this peer and wait for the cleanup below.
+        task = asyncio.current_task()
+        self._connections[task] = writer
+        task.add_done_callback(self._connections.pop)
         inflight = obs.gauge("repro_server_inflight_connections",
                              node=self.node_name)
         inflight.inc()
@@ -630,14 +661,6 @@ class ProverServer:
             if len(args) != 2:
                 raise ServiceError("receive_randomness takes (r, s)")
             prover.receive_randomness(args[0], args[1])
-            return []
-        if method == sp.M_RECEIVE_QUERIES:
-            if len(args) % 2 != 0:
-                raise ServiceError("batched queries come as (lo, hi) pairs")
-            queries = [
-                (args[t], args[t + 1]) for t in range(0, len(args), 2)
-            ]
-            prover.receive_queries(queries)
             return []
         if method == sp.M_RECEIVE_BATCH:
             from repro.core.multiquery import BatchQuery

@@ -38,7 +38,6 @@ from repro.core.multiquery import (
     BATCH_KIND_INNER_PRODUCT,
     BATCH_KIND_RANGE_SUM,
     BatchQuery,
-    BatchRangeSumProver,
     BatchedSumcheckEngine,
     BatchedSumcheckVerifier,
     batch_f2,
@@ -401,18 +400,33 @@ def test_range_fold_env_knob_selects_representation(monkeypatch):
         BatchedSumcheckEngine(F, 16, range_fold="nonsense")
 
 
-def test_wrapping_a_range_sum_prover_snapshots_its_vector():
-    """Regression: from_range_sum_prover used to alias the wrapped
+def test_wrapping_a_range_sum_prover_snapshots_its_vector(monkeypatch):
+    """Regression: the RANGE-SUM wrapper once aliased the wrapped
     prover's freq_a by reference, so updates streamed into the original
-    prover after wrapping silently mutated the engine's table."""
+    prover after wrapping silently mutated the engine's table.
+    run_batch_range_sum must prove from a copy."""
     u = 32
+    updates = [(1, 4), (7, 2), (20, 1)]
     prover = RangeSumProver(F, u)
-    prover.process_stream([(1, 4), (7, 2), (20, 1)])
-    engine = BatchRangeSumProver.from_range_sum_prover(prover)
-    assert engine.true_answer(0, u - 1) == 7
+    prover.process_stream(updates)
+    verifier = RangeSumVerifier(F, u, rng=random.Random(3))
+    verifier.process_stream(updates)
+
+    engines = []
+    from_vectors = BatchedSumcheckEngine.from_vectors.__func__
+
+    def spy(cls, *args, **kwargs):
+        engines.append(from_vectors(cls, *args, **kwargs))
+        return engines[-1]
+
+    monkeypatch.setattr(BatchedSumcheckEngine, "from_vectors",
+                        classmethod(spy))
+    (result,) = run_batch_range_sum(prover, verifier, [(0, u - 1)])
+    assert result.accepted and result.value == 7
+    (engine,) = engines
     # The wrapped prover keeps streaming: the engine must not see it...
     prover.process(7, 10)
-    assert engine.true_answer(0, u - 1) == 7
+    assert sum(engine.freq_a) == 7
     # ...and the engine's own updates must not leak back.
     engine.process(2, 5)
     assert prover.freq_a[2] == 0
@@ -470,7 +484,7 @@ def test_wrapped_range_sum_path_unchanged():
                                   channel)
     assert all(r.accepted for r in results)
 
-    engine = BatchRangeSumProver(F, u)
+    engine = BatchedSumcheckEngine(F, u)
     engine.process_stream(updates)
     verifier2 = RangeSumVerifier(F, u, point=point)
     verifier2.process_stream(updates)

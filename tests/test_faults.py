@@ -361,7 +361,10 @@ def test_rate_limited_session_backs_off_and_completes(reference):
     """A token-bucket squeeze slows the conversation down but does not
     change a single transcript byte: refused frames were never
     processed, so the resend continues exactly where the protocol was."""
-    srv = ProverServer(F, rate_limit=(300.0, 8.0))
+    # The workload sends ~17 frames in a few milliseconds; a 2-token
+    # burst refilled every 50 ms refuses some of them however slow the
+    # host, where a 300/s bucket went unexhausted on a loaded one.
+    srv = ProverServer(F, rate_limit=(20.0, 2.0))
     handle = srv.serve_in_thread()
     try:
         outcomes, client = run_workload(
@@ -441,6 +444,50 @@ def test_max_frame_size_enforced_on_both_ends():
         with pytest.raises(sp.ServiceProtocolError):
             sp.unpack_header(big[: sp.HEADER_LEN], max_payload=64)
     finally:
+        handle.stop()
+
+
+def test_stop_hangs_up_on_established_connections():
+    """Regression: stop() used to close only the listening socket, so a
+    connected peer sat on a half-open connection until its own timeout
+    and the handler tasks died pending.  Now a peer blocked on a read
+    sees EOF (or a reset) at once, and every handler has run its
+    cleanup — the session is disconnected — by the time stop returns."""
+    srv = ProverServer(F)
+    handle = srv.serve_in_thread()
+    client = ServiceClient(*handle.address, F, U, dataset_id=1,
+                           rng=random.Random(7), retry=NO_RETRY)
+    sock = socket.create_connection(handle.address, timeout=5.0)
+    try:
+        client.provision(("f2",), 1)
+        client.send_updates(UPDATES)
+        # One full exchange, so the raw connection's handler is live.
+        sock.sendall(sp.pack_frame(sp.H_PING, 0))
+        header = b""
+        while len(header) < sp.HEADER_LEN:
+            chunk = sock.recv(sp.HEADER_LEN - len(header))
+            assert chunk, "server closed before answering"
+            header += chunk
+        frame_type, _session, length = sp.unpack_header(header)
+        assert frame_type == sp.H_STATUS
+        payload = b""
+        while len(payload) < length:
+            payload += sock.recv(length - len(payload))
+        assert srv.registry.stats()["sessions"] == 1
+
+        start = time.monotonic()
+        handle.stop()
+        try:
+            tail = sock.recv(1)
+        except ConnectionResetError:
+            tail = b""
+        assert tail == b""
+        assert time.monotonic() - start < 2.0
+        assert srv.registry.stats()["sessions"] == 0
+        assert not srv._connections
+    finally:
+        sock.close()
+        client.close()
         handle.stop()
 
 

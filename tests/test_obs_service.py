@@ -145,13 +145,10 @@ def test_observability_changes_zero_transcript_bytes(server):
     assert trace_sink.getvalue().strip()
 
 
-def test_observability_is_byte_neutral_through_the_worker_pool(
-        server, monkeypatch):
-    """Same invariant through the process-pool F2 path (shared-memory
-    shard tables, worker subprocesses): tracing a pooled query must not
-    perturb its transcript either."""
-    monkeypatch.setenv("REPRO_POOL_MODE", "process")
-
+def test_observability_is_byte_neutral_through_the_worker_pool(server):
+    """Same invariant through the worker-pool F2 path (the thread-pooled
+    sharded prover): tracing a pooled query must not perturb its
+    transcript either."""
     old, _ = _obs_off()
     try:
         baseline = _transcripts(_run_workload(

@@ -13,6 +13,8 @@ paper's asymptotic bounds.
 from __future__ import annotations
 
 import random
+import threading
+from concurrent.futures import BrokenExecutor
 
 import pytest
 
@@ -28,7 +30,7 @@ from repro.core.f2 import F2Verifier, run_f2
 from repro.distributed.sharded import DistributedF2Prover
 from repro.field.modular import DEFAULT_FIELD as F
 from repro.field.modular import PrimeField
-from repro.field.vectorized import HAVE_NUMPY
+from repro.field.vectorized import HAVE_NUMPY, get_backend
 from repro.service import protocol as sp
 from repro.service import (
     PoolConfigError,
@@ -640,6 +642,101 @@ def test_pooled_prover_transcripts_byte_identical():
     assert pooled.max_worker_keys == sequential.max_worker_keys
 
 
+class _AlwaysBrokenExecutor:
+    """An executor whose pool is dead on arrival."""
+
+    def submit(self, fn, *args):
+        raise BrokenExecutor("injected pool death")
+
+    def shutdown(self, wait=True):
+        pass
+
+
+def _prove_f2(prover, u, updates, point):
+    verifier = F2Verifier(F, u, point=point)
+    verifier.process_stream(updates)
+    channel = Channel()
+    result = run_f2(prover, verifier, channel)
+    return result, channel.transcript.messages
+
+
+@pytest.mark.parametrize("backend_name", ["vectorized", "scalar"])
+def test_pooled_prover_byte_identical_on_each_backend(backend_name):
+    """Thread plane and its inline-degraded rung both reproduce the
+    inline coordinator's transcript, on either field backend."""
+    if backend_name == "vectorized" and not HAVE_NUMPY:
+        pytest.skip("numpy not installed")
+    backend = get_backend(F, backend_name)
+    u = 1 << 9
+    stream = uniform_frequency_stream(u, max_frequency=9,
+                                      rng=random.Random(31))
+    updates = list(stream.updates())
+    point = F.rand_vector(random.Random(32), pow2_dimension(u))
+    inline = DistributedF2Prover(F, u, num_workers=8, backend=backend)
+    inline.process_stream(updates)
+    want, want_messages = _prove_f2(inline, u, updates, point)
+    assert want.accepted
+
+    with PooledDistributedF2Prover(F, u, num_workers=8,
+                                   backend=backend) as pooled:
+        pooled.process_stream(updates)
+        assert pooled.max_worker_keys == u // 8
+        got, got_messages = _prove_f2(pooled, u, updates, point)
+        assert pooled.effective_mode == "thread"
+    assert got.accepted and got.value == want.value
+    assert got_messages == want_messages
+
+    with PooledDistributedF2Prover(
+        F, u, num_workers=8, backend=backend,
+        executor_factory=_AlwaysBrokenExecutor,
+    ) as degraded:
+        degraded.process_stream(updates)
+        got, got_messages = _prove_f2(degraded, u, updates, point)
+        assert degraded.effective_mode == "inline"
+    assert got.accepted and got.value == want.value
+    assert got_messages == want_messages
+
+
+def test_pooled_prover_single_update_ingest_and_true_answer():
+    with PooledDistributedF2Prover(F, 1 << 6, num_workers=4) as prover:
+        for i, delta in [(0, 3), (63, -2), (17, 5), (17, 1)]:
+            prover.process(i, delta)
+        assert prover.true_answer() == 3 * 3 + 2 * 2 + 6 * 6
+        with pytest.raises(ValueError):
+            prover.process(1 << 6, 1)
+        with pytest.raises(ValueError):
+            prover.process_stream([(-1, 1)])
+
+
+def test_pooled_prover_repeated_proofs_reset_cleanly():
+    """begin_proof resets cleanly: two proofs over evolving data on one
+    pooled prover match fresh inline references."""
+    u = 1 << 8
+    first = list(uniform_frequency_stream(
+        u, max_frequency=9, rng=random.Random(41)).updates())
+    second = [(k, 2) for k, _ in first[:40]]
+    point = F.rand_vector(random.Random(43), pow2_dimension(u))
+    with PooledDistributedF2Prover(F, u, num_workers=4) as prover:
+        prover.process_stream(first)
+        _, messages_1 = _prove_f2(prover, u, first, point)
+        prover.process_stream(second)
+        _, messages_2 = _prove_f2(prover, u, first + second, point)
+    for updates, got in ((first, messages_1), (first + second, messages_2)):
+        inline = DistributedF2Prover(F, u, num_workers=4)
+        inline.process_stream(updates)
+        _, want = _prove_f2(inline, u, updates, point)
+        assert got == want
+
+
+def test_pooled_prover_shutdown_is_idempotent():
+    prover = PooledDistributedF2Prover(F, 1 << 6, num_workers=4)
+    prover.process_stream([(3, 1)])  # starts the pool
+    assert prover._executor is not None
+    prover.shutdown()
+    prover.shutdown()
+    assert prover._executor is None
+
+
 def test_pooled_prover_rejects_bad_worker_counts():
     with pytest.raises(ValueError):
         PooledDistributedF2Prover(F, 64, num_workers=3)
@@ -674,6 +771,9 @@ def test_service_f2_worker_pool_mode(server):
         assert plain.result.value == pooled.result.value
         # Identical protocol: same transcript words on the wire.
         assert plain.cost.transcript_words == pooled.cost.transcript_words
+        # Closing the query shut its prover's thread pool down.
+        assert not [t for t in threading.enumerate()
+                    if t.name.startswith("repro-shard")]
 
 
 # -- load generator ------------------------------------------------------------
